@@ -441,6 +441,24 @@ func BenchmarkCampaign(b *testing.B) {
 	}
 }
 
+// CPA and MCPA on the largest campaign instance: an 80-task random DAG on
+// 128 hosts, where the allocation phase takes over a thousand
+// one-processor steps and dominates the mapping phase.
+func BenchmarkCPAAllocate(b *testing.B) {
+	g := dag.Generate(dag.ShapeRandom, dag.DefaultGenOptions(80), rand.New(rand.NewSource(1)))
+	p := platform.Homogeneous(128, 1e9)
+	for _, v := range []cpa.Variant{cpa.CPA, cpa.MCPA} {
+		b.Run(v.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cpa.Schedule(g, p, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // A cross-family campaign: every cell compares CPA variants against HEFT
 // through the scheduler registry.
 func BenchmarkCampaignCrossAlgo(b *testing.B) {

@@ -138,7 +138,7 @@ func (g *Graph) TopoOrder() ([]*Node, error) {
 			queue = append(queue, n)
 		}
 	}
-	var out []*Node
+	out := make([]*Node, 0, len(g.nodes))
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]

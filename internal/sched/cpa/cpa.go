@@ -110,27 +110,13 @@ func Schedule(g *dag.Graph, p *platform.Platform, variant Variant) (*Result, err
 	}
 	switch variant {
 	case CPA, MCPA:
-		alloc, tcp, ta, err := allocate(g, p, variant == MCPA)
-		if err != nil {
-			return nil, err
-		}
-		unified, err := mapTasks(g, p, alloc, variant.String())
-		if err != nil {
-			return nil, err
-		}
-		unified.SetMeta("tcp", fmt.Sprintf("%.3f", tcp))
-		unified.SetMeta("ta", fmt.Sprintf("%.3f", ta))
-		return &Result{
-			Variant: variant, Chosen: variant, Alloc: alloc,
-			TCP: tcp, TA: ta,
-			Makespan: unified.Makespan, unified: unified,
-		}, nil
+		return scheduleVariant(g, p, variant)
 	case MCPA2:
-		a, err := Schedule(g, p, CPA)
+		a, err := scheduleVariant(g, p, CPA)
 		if err != nil {
 			return nil, err
 		}
-		b, err := Schedule(g, p, MCPA)
+		b, err := scheduleVariant(g, p, MCPA)
 		if err != nil {
 			return nil, err
 		}
@@ -153,59 +139,142 @@ func Schedule(g *dag.Graph, p *platform.Platform, variant Variant) (*Result, err
 	}
 }
 
-// allocate is the allocation phase shared by CPA and MCPA.
+// scheduleVariant runs both phases of CPA or MCPA on inputs Schedule has
+// already validated.
+func scheduleVariant(g *dag.Graph, p *platform.Platform, variant Variant) (*Result, error) {
+	alloc, tcp, ta, err := allocate(g, p, variant == MCPA)
+	if err != nil {
+		return nil, err
+	}
+	unified, err := mapTasks(g, p, alloc, variant.String())
+	if err != nil {
+		return nil, err
+	}
+	unified.SetMeta("tcp", fmt.Sprintf("%.3f", tcp))
+	unified.SetMeta("ta", fmt.Sprintf("%.3f", ta))
+	return &Result{
+		Variant: variant, Chosen: variant, Alloc: alloc,
+		TCP: tcp, TA: ta,
+		Makespan: unified.Makespan, unified: unified,
+	}, nil
+}
+
+// allocate is the allocation phase shared by CPA and MCPA. Each step adds
+// one processor to the critical-path task whose time drops the most, until
+// T_CP <= T_A or no task may grow.
+//
+// The loop is incremental and allocates nothing per step. The graph is
+// flattened once into a topological order with CSR predecessor lists, and
+// each node's time and one-processor gain are cached. Growing node b
+// changes only times[b], and a node's longest-path distance depends only on
+// its ancestors, which sit earlier in the order; so only the order
+// positions at or after pos[b] are stale and are re-relaxed, each exactly
+// as a full pass would (same predecessor order, prev reset to -1). The area
+// is re-summed over the cached times in node-ID order every step: the same
+// terms in the same order give the same bits, so the tcp <= ta test
+// decides exactly as a from-scratch evaluation (dag.CriticalPath plus a
+// full sum) would.
 func allocate(g *dag.Graph, p *platform.Platform, levelCap bool) (alloc []int, tcp, ta float64, err error) {
 	P := p.NumHosts()
 	speed := p.Hosts()[0].Speed
-	n := g.Len()
+	nodes := g.Nodes()
+	n := len(nodes)
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+
+	// Flat per-position layout: orderID[i] is the node at position i, its
+	// predecessor IDs are preds[predStart[i]:predStart[i+1]] in Preds()
+	// order, and pos maps a node ID back to its position.
+	orderID := make([]int, n)
+	pos := make([]int, n)
+	predStart := make([]int, n+1)
+	preds := make([]int, 0, len(g.Edges()))
+	for i, nd := range order {
+		orderID[i] = nd.ID
+		pos[nd.ID] = i
+		for _, e := range nd.Preds() {
+			preds = append(preds, e.From.ID)
+		}
+		predStart[i+1] = len(preds)
+	}
+
 	alloc = make([]int, n)
-	for i := range alloc {
-		alloc[i] = 1
+	times := make([]float64, n) // times[id] = Time(alloc[id], speed)
+	gains := make([]float64, n) // gains[id] = Time(alloc[id]) - Time(alloc[id]+1)
+	for id, nd := range nodes {
+		alloc[id] = 1
+		times[id] = nd.Time(1, speed)
+		gains[id] = nd.Time(1, speed) - nd.Time(2, speed)
 	}
-	var levels []int
-	levelAlloc := map[int]int{}
+
+	// MCPA: precedence level per node and processors allocated per level.
+	var levels, levelAlloc []int
 	if levelCap {
-		levels, err = g.Levels()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		for _, n := range g.Nodes() {
-			levelAlloc[levels[n.ID]] += 1
+		levels = make([]int, n)
+		levelAlloc = make([]int, n) // levels run from 0 to at most n-1
+		for i, id := range orderID {
+			for _, from := range preds[predStart[i]:predStart[i+1]] {
+				levels[id] = max(levels[id], levels[from]+1)
+			}
+			levelAlloc[levels[id]]++
 		}
 	}
-	timeOf := func(nd *dag.Node) float64 { return nd.Time(alloc[nd.ID], speed) }
-	area := func() float64 {
-		var sum float64
-		for _, nd := range g.Nodes() {
-			sum += timeOf(nd) * float64(alloc[nd.ID])
-		}
-		return sum / float64(P)
+
+	if n == 0 {
+		return alloc, 0, 0, nil
 	}
+	dist := make([]float64, n) // finish of the longest path ending at node
+	prev := make([]int, n)     // predecessor on that path, -1 at its start
+	path := make([]int, 0, n)
+	stale := 0 // first order position whose dist/prev is out of date
 	for {
-		var path []int
-		tcp, path, err = g.CriticalPath(timeOf)
-		if err != nil {
-			return nil, 0, 0, err
+		for i := stale; i < n; i++ {
+			id := orderID[i]
+			start := 0.0
+			prev[id] = -1
+			for _, from := range preds[predStart[i]:predStart[i+1]] {
+				if dist[from] > start {
+					start = dist[from]
+					prev[id] = from
+				}
+			}
+			dist[id] = start + times[id]
 		}
-		ta = area()
+		// One pass in ID order: the critical path ends at the first node of
+		// longest dist, and the area sums its terms in ID order.
+		sink, sum := 0, 0.0
+		for id, t := range times {
+			if dist[id] > dist[sink] {
+				sink = id
+			}
+			sum += t * float64(alloc[id])
+		}
+		tcp, ta = dist[sink], sum/float64(P)
 		if tcp <= ta {
 			break
 		}
 		// Pick the critical-path task whose extra processor shortens it
-		// the most, subject to the variant's constraints.
+		// the most, subject to the variant's constraints. The path is
+		// collected from the sink and scanned from the source end, so ties
+		// go to the task that runs first.
+		path = path[:0]
+		for id := sink; id >= 0; id = prev[id] {
+			path = append(path, id)
+		}
 		best := -1
 		bestGain := 0.0
-		for _, id := range path {
-			nd := g.Nodes()[id]
+		for k := len(path) - 1; k >= 0; k-- {
+			id := path[k]
 			if alloc[id] >= P {
 				continue
 			}
 			if levelCap && levelAlloc[levels[id]]+1 > P {
 				continue // MCPA: level is saturated
 			}
-			gain := nd.Time(alloc[id], speed) - nd.Time(alloc[id]+1, speed)
-			if gain > bestGain {
-				bestGain = gain
+			if gains[id] > bestGain {
+				bestGain = gains[id]
 				best = id
 			}
 		}
@@ -213,9 +282,13 @@ func allocate(g *dag.Graph, p *platform.Platform, levelCap bool) (alloc []int, t
 			break // nothing can grow: CP stays above TA
 		}
 		alloc[best]++
+		nd := nodes[best]
+		times[best] = nd.Time(alloc[best], speed)
+		gains[best] = nd.Time(alloc[best], speed) - nd.Time(alloc[best]+1, speed)
 		if levelCap {
 			levelAlloc[levels[best]]++
 		}
+		stale = pos[best]
 	}
 	return alloc, tcp, ta, nil
 }

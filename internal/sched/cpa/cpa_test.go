@@ -1,14 +1,15 @@
 package cpa
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/internal/sched"
-	"repro/internal/sim"
 )
 
 func cluster(n int) *platform.Platform { return platform.Homogeneous(n, 1e9) }
@@ -247,4 +248,148 @@ func TestPickEarliestHosts(t *testing.T) {
 	}
 }
 
-var _ = sim.ExecOptions{} // keep the import obvious for readers
+// referenceAllocate is the allocation phase as first written: every step
+// recomputes the critical path from scratch with dag.CriticalPath and
+// re-sums the whole area. It is the oracle the incremental allocate must
+// match bit for bit.
+func referenceAllocate(g *dag.Graph, p *platform.Platform, levelCap bool) (alloc []int, tcp, ta float64, err error) {
+	P := p.NumHosts()
+	speed := p.Hosts()[0].Speed
+	alloc = make([]int, g.Len())
+	for i := range alloc {
+		alloc[i] = 1
+	}
+	var levels []int
+	levelAlloc := map[int]int{}
+	if levelCap {
+		if levels, err = g.Levels(); err != nil {
+			return nil, 0, 0, err
+		}
+		for _, l := range levels {
+			levelAlloc[l]++
+		}
+	}
+	timeOf := func(nd *dag.Node) float64 { return nd.Time(alloc[nd.ID], speed) }
+	for {
+		var path []int
+		tcp, path, err = g.CriticalPath(timeOf)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		var sum float64
+		for _, nd := range g.Nodes() {
+			sum += timeOf(nd) * float64(alloc[nd.ID])
+		}
+		ta = sum / float64(P)
+		if tcp <= ta {
+			break
+		}
+		best := -1
+		bestGain := 0.0
+		for _, id := range path {
+			nd := g.Nodes()[id]
+			if alloc[id] >= P || levelCap && levelAlloc[levels[id]]+1 > P {
+				continue
+			}
+			gain := nd.Time(alloc[id], speed) - nd.Time(alloc[id]+1, speed)
+			if gain > bestGain {
+				bestGain = gain
+				best = id
+			}
+		}
+		if best < 0 {
+			break
+		}
+		alloc[best]++
+		if levelCap {
+			levelAlloc[levels[best]]++
+		}
+	}
+	return alloc, tcp, ta, nil
+}
+
+// TestAllocateMatchesReference checks the incremental allocation phase
+// against the from-scratch oracle on every shape and a spread of DAG and
+// cluster sizes, including degenerate graphs: allocations must be equal and
+// T_CP and T_A bit-identical.
+func TestAllocateMatchesReference(t *testing.T) {
+	type instance struct {
+		name string
+		g    *dag.Graph
+	}
+	var graphs []instance
+	for _, shape := range dag.Shapes() {
+		for _, size := range []int{1, 10, 40, 80} {
+			g := dag.Generate(shape, dag.DefaultGenOptions(size), rand.New(rand.NewSource(int64(size))))
+			graphs = append(graphs, instance{fmt.Sprintf("%v/%d", shape, size), g})
+		}
+	}
+	single := dag.New("single")
+	single.AddNode("only", "x", 4e10, 0.05)
+	graphs = append(graphs, instance{"single", single})
+	// A zero-work task on the critical path never gains from a processor,
+	// and a zero-work sink ties with its predecessor's path length.
+	zero := dag.Generate(dag.ShapeRandom, dag.DefaultGenOptions(20), rand.New(rand.NewSource(3)))
+	free := zero.AddNode("free", "x", 0, 0.05)
+	for _, sink := range zero.Sinks() {
+		if sink != free {
+			zero.AddEdge(sink, free, 0)
+		}
+	}
+	mid := zero.Nodes()[len(zero.Nodes())/2]
+	mid.Work = 0
+	graphs = append(graphs, instance{"zero-work", zero})
+	graphs = append(graphs, instance{"ImbalancedLayer", dag.ImbalancedLayer(14, 10)})
+
+	for _, in := range graphs {
+		for _, P := range []int{1, 4, 32, 128} {
+			for _, levelCap := range []bool{false, true} {
+				name := fmt.Sprintf("%s/P%d/cap=%v", in.name, P, levelCap)
+				wantAlloc, wantTCP, wantTA, err := referenceAllocate(in.g, cluster(P), levelCap)
+				if err != nil {
+					t.Fatalf("%s: reference: %v", name, err)
+				}
+				alloc, tcp, ta, err := allocate(in.g, cluster(P), levelCap)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !slices.Equal(alloc, wantAlloc) {
+					t.Fatalf("%s: alloc %v, want %v", name, alloc, wantAlloc)
+				}
+				if math.Float64bits(tcp) != math.Float64bits(wantTCP) ||
+					math.Float64bits(ta) != math.Float64bits(wantTA) {
+					t.Fatalf("%s: tcp/ta %v/%v, want %v/%v", name, tcp, ta, wantTCP, wantTA)
+				}
+			}
+		}
+	}
+}
+
+// TestAllocateAllocsConstant guards the incremental loop: its allocations
+// are the fixed set-up buffers, however many one-processor steps it takes.
+func TestAllocateAllocsConstant(t *testing.T) {
+	g := dag.Generate(dag.ShapeRandom, dag.DefaultGenOptions(80), rand.New(rand.NewSource(1)))
+	p := cluster(128)
+	alloc, _, _, err := allocate(g, p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := 0
+	for _, a := range alloc {
+		steps += a - 1
+	}
+	const bound = 20
+	if steps < 10*bound {
+		t.Fatalf("only %d growth steps: the instance does not exercise the loop", steps)
+	}
+	for _, levelCap := range []bool{false, true} {
+		n := testing.AllocsPerRun(5, func() {
+			if _, _, _, err := allocate(g, p, levelCap); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > bound {
+			t.Errorf("levelCap=%v: %v allocations per run over %d steps, want <= %d", levelCap, n, steps, bound)
+		}
+	}
+}

@@ -12,8 +12,9 @@ type Interval struct{ Start, End float64 }
 // ad-hoc hostFree arrays and slot lists the algorithm packages used to
 // maintain individually.
 type Timeline struct {
-	slots [][]Interval
-	tail  []float64 // end of the last reservation per host
+	slots   [][]Interval
+	tail    []float64 // end of the last reservation per host
+	scratch []float64 // EarliestHosts' copy of tail for selection
 }
 
 // NewTimeline creates an empty timeline over the given host count.
@@ -97,23 +98,71 @@ func (t *Timeline) ReserveAll(hosts []int, start, end float64) {
 // tail free times, preferring low indices on ties so Gantt charts show
 // compact allocations; the result is sorted ascending. need is clamped to
 // the host count.
+//
+// The chosen set is every host whose tail lies below the need-th smallest
+// tail, topped up with the lowest-indexed hosts at exactly that tail, so a
+// single scan in index order yields it already sorted. Tails start at 0 and
+// only ever grow to a reservation's end, so they are never NaN.
 func (t *Timeline) EarliestHosts(need int) []int {
 	if need > len(t.tail) {
 		need = len(t.tail)
 	}
-	idx := make([]int, len(t.tail))
-	for i := range idx {
-		idx[i] = i
+	if need <= 0 {
+		return nil
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if t.tail[idx[a]] != t.tail[idx[b]] {
-			return t.tail[idx[a]] < t.tail[idx[b]]
+	t.scratch = append(t.scratch[:0], t.tail...)
+	cut := nthSmallest(t.scratch, need-1)
+	atCut := need // hosts to take at exactly the cut, lowest first
+	for _, f := range t.tail {
+		if f < cut {
+			atCut--
 		}
-		return idx[a] < idx[b]
-	})
-	out := append([]int(nil), idx[:need]...)
-	sort.Ints(out)
+	}
+	out := make([]int, 0, need)
+	for h, f := range t.tail {
+		if f == cut {
+			if atCut == 0 {
+				continue
+			}
+			atCut--
+		} else if f > cut {
+			continue
+		}
+		out = append(out, h)
+	}
 	return out
+}
+
+// nthSmallest returns the k-th smallest value of a (0-based), partially
+// reordering a (Hoare's selection: expected linear time).
+func nthSmallest(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		pivot := a[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
 }
 
 // Reserved returns the host's reservation list (read-only view).

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -70,6 +72,40 @@ func TestTimelineEarliestHosts(t *testing.T) {
 	}
 	if got := tl.EarliestHosts(10); len(got) != 4 {
 		t.Fatalf("EarliestHosts clamps to host count, got %v", got)
+	}
+}
+
+// TestEarliestHostsAgainstSort cross-checks the selection against sorting
+// every host by (tail, index) and keeping the first need. Half the cases
+// draw tails from a few values so ties are common, half from a continuum.
+func TestEarliestHostsAgainstSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 1000; iter++ {
+		hosts := 1 + rng.Intn(40)
+		tl := NewTimeline(hosts)
+		for h := 0; h < hosts; h++ {
+			end := float64(rng.Intn(4))
+			if iter%2 == 1 {
+				end = rng.Float64() * 10
+			}
+			tl.Reserve(h, 0, end)
+		}
+		need := rng.Intn(hosts + 3)
+		idx := make([]int, hosts)
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.Slice(idx, func(a, b int) bool {
+			if tl.FreeAt(idx[a]) != tl.FreeAt(idx[b]) {
+				return tl.FreeAt(idx[a]) < tl.FreeAt(idx[b])
+			}
+			return idx[a] < idx[b]
+		})
+		want := idx[:min(need, hosts)]
+		sort.Ints(want)
+		if got := tl.EarliestHosts(need); !slices.Equal(got, want) {
+			t.Fatalf("iter %d: EarliestHosts(%d) = %v, want %v", iter, need, got, want)
+		}
 	}
 }
 
